@@ -48,8 +48,8 @@ def record_bench(name, **fields):
     """File one benchmark's measurements (speedups, wall times, sizes —
     whatever the benchmark pins) for the JSON emitter, stamped with
     :func:`run_metadata` (explicit fields win, so a benchmark that
-    exercises a specific ``kernel``/``backend`` can say so).  A no-op
-    beyond an append: benchmarks stay runnable without the emitter."""
+    exercises a specific ``kernel`` can say so).  A no-op beyond an
+    append: benchmarks stay runnable without the emitter."""
     record = {"benchmark": name}
     record.update(run_metadata())
     record.update(fields)

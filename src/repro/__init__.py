@@ -33,9 +33,10 @@ automaton key / sorted configuration set for the other criterion forms;
 see :mod:`repro.engine.canonical`).  ``open_session`` itself caches
 sessions by a hash of the source text, so a mutated source always gets
 a fresh session and can never observe stale SDG or automaton results.
-``slice_many`` fans independent criteria out over a thread pool against
-the shared read-only encoding, or over a process pool with
-``backend="process"``.  The batch CLI::
+``slice_many`` saturates a batch's cold criteria in one fused kernel
+pass (``csr`` kernel, two or more cold criteria) and fans the read-outs
+out over a thread pool against the shared read-only encoding.  The
+batch CLI::
 
     python -m repro slice-batch prog.tc --prints all --jobs 4
 

@@ -10,8 +10,7 @@ Commands:
   once, slice w.r.t. each requested print statement (``--prints
   0,2,5`` or ``--prints all``) through a shared
   :class:`repro.engine.SlicingSession`, fanning out over ``--jobs``
-  workers (``--backend thread`` or ``process``), and report
-  per-criterion sizes plus cache stats.  ``--cache-dir DIR`` backs the
+  worker threads, and report per-criterion sizes plus cache stats.  ``--cache-dir DIR`` backs the
   session with the persistent on-disk store, so re-running the batch
   in a new process answers from disk.  ``--reuse-from PREV_FILE``
   opens the session for a previous revision of the file and
@@ -150,12 +149,7 @@ def cmd_slice_batch(args):
     t0 = time.perf_counter()
     try:
         # Range validation lives in the engine's criterion resolution.
-        results = session.slice_many(
-            criteria,
-            max_workers=args.jobs,
-            backend=args.backend,
-            batch_saturation=args.batch_saturation,
-        )
+        results = session.slice_many(criteria, max_workers=args.jobs)
     except ValueError as exc:
         raise SystemExit("error: %s" % exc)
     elapsed = time.perf_counter() - t0
@@ -194,18 +188,6 @@ def cmd_slice_batch(args):
                 stats["fused_criteria"],
                 stats["fused_batches"],
                 "" if stats["fused_batches"] == 1 else "es",
-            )
-        )
-    if stats.get("fused_process_batches"):
-        lines.append(
-            "fused process: %d worker sub-batch%s (sizes %s); "
-            "compiled-PDS payload hits/misses %d/%d"
-            % (
-                stats["fused_process_batches"],
-                "" if stats["fused_process_batches"] == 1 else "es",
-                ",".join(str(n) for n in stats["fused_process_subbatch_sizes"]),
-                stats.get("pds_payload_hits", 0),
-                stats.get("pds_payload_misses", 0),
             )
         )
     if update is not None:
@@ -382,13 +364,6 @@ def build_parser():
     )
     p_batch.add_argument("--jobs", type=int, default=None)
     p_batch.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default=None,
-        help="worker pool kind (process = true CPU parallelism; "
-        "default: the REPRO_SLICE_BACKEND env knob, thread when unset)",
-    )
-    p_batch.add_argument(
         "--cache-dir",
         default=None,
         help="back the session with the persistent slice store at DIR",
@@ -407,15 +382,6 @@ def build_parser():
         default=None,
         help="saturation kernel (default: $REPRO_KERNEL or 'object'; "
         "results are byte-identical either way)",
-    )
-    p_batch.add_argument(
-        "--batch-saturation",
-        dest="batch_saturation",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="fuse the batch's cold saturations into one csr kernel "
-        "pass (default: $REPRO_BATCH_SATURATION or 'auto'; results "
-        "are byte-identical either way)",
     )
     p_batch.set_defaults(func=cmd_slice_batch)
 

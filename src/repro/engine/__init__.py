@@ -2,13 +2,13 @@
 
 * :mod:`repro.engine.session` — :class:`SlicingSession`: shared
   parse/SDG/encoding/saturation, per-criterion memoization, optional
-  persistent-store backing, and the ``slice_many`` batch driver with
-  thread and process backends.
+  persistent-store backing, and the ``slice_many`` batch driver (one
+  fused saturation pass per batch, read-outs on a thread pool).
 * :mod:`repro.engine.artifacts` — :class:`SaturationArtifact`: the
   relocatable (trimmed automaton + canonical key + per-procedure
   ownership footprint) form every saturation takes — the single
   representation shared by the session memo, the store's ``__sats__``
-  table, process-pool workers, and incremental invalidation.
+  table, and incremental invalidation.
 * :mod:`repro.engine.canonical` — canonical cache keys for criterion
   specs and saturations, plus the stable digests the on-disk store
   names entries by.
@@ -20,7 +20,7 @@
   saturations filed under *other* revisions via the store's per-revision
   footprint indexes.
 * :mod:`repro.engine.parallel` — :func:`slice_many_programs`, the
-  multi-program batch driver (one worker per program).
+  multi-program batch driver (one worker thread per program).
 
 Most users reach this through :func:`repro.open_session`.
 """

@@ -532,7 +532,10 @@ def discover_artifacts(session):
                 survivor = artifact.relocated(new_key, vid_map, site_map, {})
             if survivor.footprint is None:
                 continue
-            session._install("saturation", new_key, survivor)
+            with session._lock:
+                session._futures.setdefault(
+                    ("saturation", new_key), _completed(survivor)
+                )
             if not store.has_sat(new_hash, new_digest):
                 store.put_sat(new_hash, new_digest, survivor)
             adopted_records[new_digest] = (
@@ -641,6 +644,10 @@ def update_session(session, new_source):
         for name in old_keys
         if name in new_keys and old_keys[name] != new_keys[name]
     }
+    # Kept procedures were re-parsed: their statements have new uids.
+    uid_map = {}
+    for part in parts.values():
+        uid_map.update(part.uid_map)
     new_futures, counts = _prune_memo(
         session,
         new_sdg,
@@ -650,6 +657,7 @@ def update_session(session, new_source):
         key_translation,
         vid_map,
         site_map,
+        uid_map,
     )
 
     with session._lock:
@@ -740,13 +748,38 @@ def _completed(value):
     return future
 
 
+def _retargeted_stmt_maps(executables, uid_map):
+    """The ``stmt_map`` of each rendered slice with its original-program
+    uids translated through ``uid_map`` (old parse -> new parse), or
+    None when some statement lies outside the kept procedures."""
+    maps = []
+    for executable in executables:
+        try:
+            maps.append(
+                {new: uid_map[old] for new, old in executable.stmt_map.items()}
+            )
+        except KeyError:
+            return None
+    return maps
+
+
 def _prune_memo(
-    session, new_sdg, encoding, fast, changed_keys, key_translation, vid_map, site_map
+    session,
+    new_sdg,
+    encoding,
+    fast,
+    changed_keys,
+    key_translation,
+    vid_map,
+    site_map,
+    uid_map,
 ):
     """Decide, entry by entry, what survives the update — a pure
     function of the artifact footprints the entries were created with
-    (no automaton is trimmed or inspected here).  Returns the new
-    futures table and the kept/dropped counters."""
+    (no automaton is trimmed or inspected here).  Kept rendered slices
+    have their ``stmt_map`` re-pointed at the new parse's statement
+    uids through ``uid_map``, not re-rendered.  Returns the new futures
+    table and the kept/dropped counters."""
     with session._lock:
         snapshot = dict(session._futures)
     new_futures = {}
@@ -835,20 +868,25 @@ def _prune_memo(
             counts["results_dropped"] += 1
 
     for (cache_kind, key), future in snapshot.items():
-        if not done(future):
+        if not done(future) or cache_kind not in ("executable", "feature_clean"):
             continue
+        # A rendered slice rides its result's fate: the executable its
+        # slice's, the §7 cleanup pair its feature removal's.
+        executables = future.result()
         if cache_kind == "executable":
-            # Rides its slice's fate; not counted separately (the
-            # results_* counters tally logical results).
-            if key in kept_result_keys["slice"]:
-                new_futures[(cache_kind, key)] = future
-        elif cache_kind == "feature_clean":
-            # The §7 cleanup pair rides its feature removal's fate.
-            if key in kept_result_keys["feature"]:
-                new_futures[(cache_kind, key)] = future
-                counts["results_kept"] += 1
-            else:
-                counts["results_dropped"] += 1
+            executables = (executables,)
+            survives = key in kept_result_keys["slice"]
+        else:
+            survives = key in kept_result_keys["feature"]
+        maps = _retargeted_stmt_maps(executables, uid_map) if survives else None
+        if maps is not None:
+            for executable, stmt_map in zip(executables, maps):
+                executable.stmt_map = stmt_map
+            new_futures[(cache_kind, key)] = future
+        # Executables are not counted separately (the results_*
+        # counters tally logical results).
+        if cache_kind == "feature_clean":
+            counts["results_kept" if maps is not None else "results_dropped"] += 1
 
     return new_futures, counts
 

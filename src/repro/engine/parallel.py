@@ -1,15 +1,13 @@
-"""Multi-program batch slicing: one worker per program.
+"""Multi-program batch slicing: one worker thread per program.
 
-:meth:`SlicingSession.slice_many` parallelizes criteria *within* one
-program; this module parallelizes *across* programs — the corpus-
-inspection shape (run every criterion of every file in a project)
-where process-level parallelism pays off most, because the per-program
-front half and saturations are completely independent and the GIL is
-the only thing serializing them on the thread backend.
+:meth:`SlicingSession.slice_many` batches criteria *within* one
+program; this module spreads *across* programs — the corpus-inspection
+shape (run every criterion of every file in a project), where the
+per-program front halves and saturations are completely independent.
 
 ``slice_many_programs`` takes ``(source, criteria)`` jobs and returns
 one result list per job, in order.  With ``cache_dir`` set, every
-worker — thread or process — reads and writes the shared persistent
+worker reads and writes the shared persistent
 :class:`repro.store.SliceStore`: a warm corpus batch is answered from
 disk without any saturation work, and even a half-warm one loads each
 program's ``Poststar(entry_main)`` artifact from the shared
@@ -27,7 +25,7 @@ straggler tail; results still come back in input order.
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.session import SlicingSession
 
@@ -49,33 +47,21 @@ class ProgramSliceError(RuntimeError):
 
 
 def slice_many_programs(
-    jobs,
-    contexts="reachable",
-    backend="thread",
-    max_workers=None,
-    cache_dir=None,
-    kernel=None,
-    batch_saturation=None,
+    jobs, contexts="reachable", max_workers=None, cache_dir=None, kernel=None
 ):
     """Slice a batch of programs.
 
     Args:
         jobs: iterable of ``(source, criteria)`` pairs — TinyC source
             text plus the criterion specs to slice it by (any spec form
-            :mod:`repro.engine.canonical` accepts, as long as it
-            pickles for the process backend; ``("print", i)`` tuples
-            and vertex-id tuples are the usual shapes).
+            :mod:`repro.engine.canonical` accepts; ``("print", i)``
+            tuples and vertex-id tuples are the usual shapes).
         contexts: completes vertex criteria (``"reachable"``/``"empty"``).
-        backend: ``"thread"`` or ``"process"`` — what kind of worker
-            handles each program.
         max_workers: pool size (default: ``min(len(jobs), cpu_count)``).
         cache_dir: optional persistent-store directory shared by all
             workers.
         kernel: saturation kernel for every worker session
             (:mod:`repro.kernelcfg`; default the ``REPRO_KERNEL`` knob).
-        batch_saturation: fused-saturation mode for each worker's
-            criterion batch (``auto``/``on``/``off``; default the
-            ``REPRO_BATCH_SATURATION`` knob).
 
     Returns:
         a list of lists of :class:`SpecializationResult`, one inner
@@ -90,8 +76,6 @@ def slice_many_programs(
     jobs = [(source, list(criteria)) for source, criteria in jobs]
     if not jobs:
         return []
-    if backend not in ("thread", "process"):
-        raise ValueError("backend must be 'thread' or 'process'")
     if max_workers is None:
         max_workers = min(len(jobs), os.cpu_count() or 1)
     # Largest front half first (source length is the proxy: front-half
@@ -101,9 +85,8 @@ def slice_many_programs(
     order = sorted(
         range(len(jobs)), key=lambda i: len(jobs[i][0]), reverse=True
     )
-    pool_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
     futures = {}
-    with pool_cls(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
         for i in order:
             source, criteria = jobs[i]
             futures[i] = pool.submit(
@@ -113,7 +96,6 @@ def slice_many_programs(
                 contexts,
                 cache_dir,
                 kernel,
-                batch_saturation,
             )
         # Settle every job before raising: ``pool.shutdown`` inside the
         # context manager waits for all of them, so sibling results (and
@@ -136,27 +118,15 @@ def slice_many_programs(
     return results
 
 
-def _slice_one_program(
-    source, criteria, contexts, cache_dir, kernel=None, batch_saturation=None
-):
+def _slice_one_program(source, criteria, contexts, cache_dir, kernel=None):
     """One worker's whole job: build or store-load the session, then
-    slice every criterion through the batch driver (the process-level
-    parallelism is across programs; within one program the ``csr``
-    kernel's fused saturation pass covers the whole criterion batch in
-    a single worklist run)."""
+    slice every criterion through the batch driver (within one program
+    the ``csr`` kernel's fused saturation pass covers the whole
+    criterion batch in a single worklist run)."""
     store = None
     if cache_dir is not None:
         from repro.store import SliceStore
 
         store = SliceStore(cache_dir)
     session = SlicingSession(source, store=store, kernel=kernel)
-    # backend is pinned: this already *is* the worker — letting the
-    # REPRO_SLICE_BACKEND knob leak in here would nest a process pool
-    # inside each process-pool worker.
-    return session.slice_many(
-        criteria,
-        contexts=contexts,
-        max_workers=1,
-        backend="thread",
-        batch_saturation=batch_saturation,
-    )
+    return session.slice_many(criteria, contexts=contexts, max_workers=1)

@@ -1,8 +1,8 @@
 """Deterministic automaton serialization and structural equality.
 
 Saturation automata outlive the process that computed them: they are
-pickled into the persistent store's ``__sats__`` table, shipped to
-process-pool workers, and compared across interpreter runs by the
+pickled into the persistent store's ``__sats__`` table and compared
+across interpreter runs by the
 differential harnesses.  ``FiniteAutomaton``'s in-memory representation
 (dicts of sets) pickles fine but not *deterministically* — iteration
 order depends on insertion history — so this module defines a canonical

@@ -26,22 +26,12 @@ tests can flip it), overridden per session by
 no repro imports — so both :mod:`repro.fsa` and :mod:`repro.pds` can
 consult it without cycles.
 
-Batched saturation has its own knob, ``REPRO_BATCH_SATURATION``:
-whether ``SlicingSession.slice_many`` fuses the cold criteria of a
-batch into one multi-criterion kernel pass
-(:func:`repro.pds.kernel.prestar_many_csr`) instead of saturating them
-one by one.  ``auto`` (the default) fuses when the ``csr`` kernel is
-active and at least two criteria are cold; ``on`` forces the fused
-path even for a single cold criterion; ``off`` disables it.  The knob
-never changes results — fused projections are byte-identical to
-sequential runs — only how the work is scheduled.
-
-The ``slice_many`` worker-pool backend has a third knob,
-``REPRO_SLICE_BACKEND`` (``thread``/``process``, default ``thread``):
-the default backend used when no explicit ``backend=`` is passed, so a
-CI lane can run the whole suite through the process tier.  Like the
-others it only reschedules work — results and store bytes are pinned
-identical across backends.
+The kernel is the only choice here.  On ``csr``,
+``SlicingSession.slice_many`` (and ``remove_features_many``) always
+fuse two or more cold criteria into one multi-criterion kernel pass
+(:func:`repro.pds.kernel.prestar_many_csr`) and run a single cold
+criterion through the solo entry point; fused projections are
+byte-identical to sequential runs.
 """
 
 import os
@@ -52,23 +42,6 @@ KERNELS = (OBJECT, CSR)
 
 #: environment knob consulted when no explicit kernel is passed
 ENV_VAR = "REPRO_KERNEL"
-
-
-BATCH_AUTO = "auto"
-BATCH_ON = "on"
-BATCH_OFF = "off"
-BATCH_MODES = (BATCH_AUTO, BATCH_ON, BATCH_OFF)
-
-#: environment knob for the fused multi-criterion saturation path
-BATCH_ENV_VAR = "REPRO_BATCH_SATURATION"
-
-
-THREAD = "thread"
-PROCESS = "process"
-BACKENDS = (THREAD, PROCESS)
-
-#: environment knob for the ``slice_many`` worker-pool backend
-BACKEND_ENV_VAR = "REPRO_SLICE_BACKEND"
 
 
 def current_kernel():
@@ -89,36 +62,3 @@ def resolve_kernel(kernel):
             % (kernel, ", ".join(KERNELS))
         )
     return kernel
-
-
-def resolve_backend(backend):
-    """Validate an explicit ``slice_many`` backend name, or fall back
-    to the ``REPRO_SLICE_BACKEND`` environment default (``thread`` when
-    unset).  Raises ``ValueError`` on unknown names, mirroring
-    :func:`resolve_kernel`.  The knob exists so a CI lane can force the
-    process backend across a whole test run without touching call
-    sites; code that *must not* fork (e.g. work already running inside
-    a process-pool worker) pins ``backend="thread"`` explicitly."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or THREAD
-    if backend not in BACKENDS:
-        raise ValueError(
-            "unknown slice_many backend %r (expected one of %s)"
-            % (backend, ", ".join(BACKENDS))
-        )
-    return backend
-
-
-def resolve_batch(mode):
-    """Validate an explicit batch-saturation mode, or fall back to the
-    ``REPRO_BATCH_SATURATION`` environment default (``auto`` when
-    unset).  Raises ``ValueError`` on unknown names, mirroring
-    :func:`resolve_kernel`."""
-    if mode is None:
-        mode = os.environ.get(BATCH_ENV_VAR) or BATCH_AUTO
-    if mode not in BATCH_MODES:
-        raise ValueError(
-            "unknown batch-saturation mode %r (expected one of %s)"
-            % (mode, ", ".join(BATCH_MODES))
-        )
-    return mode

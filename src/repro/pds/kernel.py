@@ -246,8 +246,7 @@ def compiled_pds(pds, stats=None):
 # strings — deterministic for a given PDS, picklable, checksummable —
 # from which ``compiled_from_payload`` rebuilds a CompiledPDS without
 # ever seeing the PDS, the SDG, or the source.  The engine persists it
-# in the store's ``__pds__`` table keyed by front-half hash and ships
-# it to process-pool workers through the pool initializer.
+# in the store's ``__pds__`` table keyed by front-half hash.
 #
 # The universe it covers is exactly the Fig. 8 encoding's
 # (:mod:`repro.pds.encode`): control locations are strings (``"p"``)

@@ -103,7 +103,7 @@ class ProcPart(object):
         site label -> new site label.
         """
         name = self.name
-        uid_map = self._uid_map or {}
+        uid_map = self.uid_map
         site_map = {}
         for site in self.sites:
             site_map[site[0]] = context.next_site_label()
@@ -168,6 +168,12 @@ class ProcPart(object):
                 for (_label, callee, _uid, call_vid, actual_ins, actual_outs) in self.sites
             ),
         )
+
+    @property
+    def uid_map(self):
+        """Donor statement uid -> target statement uid, as set by
+        :meth:`retarget_uids` (empty for a part never retargeted)."""
+        return self._uid_map or {}
 
     def retarget_uids(self, new_proc):
         """Point the part at ``new_proc`` — the same procedure in a

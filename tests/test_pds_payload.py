@@ -1,16 +1,14 @@
-"""Relocatable compiled-PDS payloads and the fused process backend.
+"""Relocatable compiled-PDS payloads and store-backed batches.
 
 ``compiled_payload``/``compiled_from_payload`` promise a deterministic
 flat-array form of :class:`repro.pds.kernel.CompiledPDS` that crosses
-process boundaries and survives the store, and that a worker adopting
-a shipped payload computes *exactly* what it would have computed by
-recompiling.  The fused process backend promises that partitioning a
-cold criterion batch into per-worker sub-batches changes scheduling
-only — results, artifacts, and persisted ``__sats__`` bytes stay
-byte-identical across {thread, process} x {fused on, off}.  This suite
-pins both layers plus the degrade paths (corrupt payloads recompile,
-never crash; a failing ``slice_many_programs`` job names itself after
-its siblings settle).
+process boundaries and survives the store's ``__pds__`` table, and
+that a session adopting a stored payload computes *exactly* what it
+would have computed by recompiling.  A store-backed fused batch
+promises results and persisted ``__sats__`` bytes identical to
+per-criterion slicing.  This suite pins both plus the degrade paths
+(corrupt payloads recompile, never crash; a failing
+``slice_many_programs`` job names itself after its siblings settle).
 
 ``repro.open_session`` memoizes sessions by source hash; every test
 here builds :class:`SlicingSession` directly so nothing is memo-warm.
@@ -18,7 +16,8 @@ here builds :class:`SlicingSession` directly so nothing is memo-warm.
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
 
 import pytest
 
@@ -71,13 +70,6 @@ def _session_payload(session):
     return compiled_payload(compiled_pds(session.encoding.pds))
 
 
-def _child_digest(source):
-    """Executed in a worker process: the payload digest a *different*
-    interpreter computes for the same source."""
-    session = SlicingSession(source, kernel="csr")
-    return payload_digest(_session_payload(session))
-
-
 def _sat_bytes(root):
     """The persisted ``__sats__`` entries of a store, name -> bytes
     (the index sidecar rides under ``idx-`` names and is excluded)."""
@@ -125,11 +117,35 @@ def test_payload_round_trip_behavioral_on_corpus(seed):
 
 @pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 5))
 def test_payload_digest_stable_across_processes(seed):
+    """Two interpreters compute the same payload digest for the same
+    source, one of them after slicing another program first.  Both run
+    under one fixed hash seed: the encoder emits rules in edge-set
+    order, which follows string hashing, so the digest is stable per
+    hash seed, not across seeds."""
     source = _source(seed)
-    parent = payload_digest(_session_payload(SlicingSession(source, kernel="csr")))
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        child = pool.submit(_child_digest, source).result()
-    assert parent == child
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    script = (
+        "import sys\n"
+        "from repro.engine import SlicingSession\n"
+        "if len(sys.argv) > 1:\n"
+        "    SlicingSession(sys.argv[1], kernel='csr').slice_many(['prints'])\n"
+        "from repro.pds.kernel import compiled_payload, compiled_pds, payload_digest\n"
+        "session = SlicingSession(sys.stdin.read(), kernel='csr')\n"
+        "print(payload_digest(compiled_payload(compiled_pds(session.encoding.pds))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="4242")
+    first, second = (
+        subprocess.check_output(
+            [sys.executable, "-c", script] + history,
+            input=source,
+            env=env,
+            text=True,
+        )
+        for history in ([], [_source(seed + 1)])
+    )
+    assert first.strip() and first == second
 
 
 def test_payload_digest_separates_programs():
@@ -245,15 +261,11 @@ def test_object_kernel_never_touches_payloads(tmp_path):
     assert not session.store.has_pds(session.source_hash)
 
 
-# -- fused process backend: byte identity + counters -------------------------------
+# -- store-backed fused batches: byte identity ----------------------------------
 
 
-def _slice_config(source, criteria, cache, backend, mode):
-    session = SlicingSession(source, store=SliceStore(cache), kernel="csr")
-    results = session.slice_many(
-        criteria, backend=backend, max_workers=2, batch_saturation=mode
-    )
-    rendered = [
+def _rendered(results):
+    return [
         (
             automaton_to_payload(r.a1),
             automaton_to_payload(r.a6),
@@ -263,77 +275,30 @@ def _slice_config(source, criteria, cache, backend, mode):
         )
         for r in results
     ]
-    return session, rendered
 
 
 @pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 3))
-def test_backend_mode_matrix_byte_identical(seed, tmp_path):
-    """{thread, process} x {fused on, off}: identical rendered slices
-    and identical persisted ``__sats__`` bytes."""
+def test_store_backed_fused_batch_byte_identical(seed, tmp_path):
+    """A fused ``slice_many`` batch and per-criterion ``slice`` calls
+    render identical slices and persist identical ``__sats__`` bytes."""
     source = _source(seed)
-    criteria = _criteria(SlicingSession(source, kernel="csr"))
-    rendered = {}
-    sats = {}
-    for backend in ("thread", "process"):
-        for mode in ("on", "off"):
-            cache = str(tmp_path / ("%s-%s" % (backend, mode)))
-            session, rendered[(backend, mode)] = _slice_config(
-                source, criteria, cache, backend, mode
-            )
-            sats[(backend, mode)] = _sat_bytes(cache)
-            if backend == "process" and mode == "on":
-                assert session.stats["fused_process_batches"] >= 1, seed
-    reference = rendered[("thread", "off")]
-    sat_reference = sats[("thread", "off")]
-    assert sat_reference
-    for config in rendered:
-        assert rendered[config] == reference, (seed, config)
-        assert sats[config] == sat_reference, (seed, config)
-
-
-@pytest.mark.smoke
-def test_fused_process_counters():
-    source = _source(5)
-    fused = SlicingSession(source, kernel="csr")
+    fused_cache = str(tmp_path / "fused")
+    plain_cache = str(tmp_path / "plain")
+    fused = SlicingSession(source, store=SliceStore(fused_cache), kernel="csr")
+    plain = SlicingSession(source, store=SliceStore(plain_cache), kernel="csr")
     criteria = _criteria(fused)
-    fused.slice_many(
-        criteria, backend="process", max_workers=2, batch_saturation="on"
-    )
-    stats = fused.stats
-    assert stats["fused_process_batches"] >= 1
-    sizes = stats["fused_process_subbatch_sizes"]
-    assert len(sizes) == stats["fused_process_batches"]
-    # Every distinct cold criterion landed in exactly one sub-batch.
-    assert sum(sizes) == len(set(criteria))
-    assert all(size >= 1 for size in sizes)
-
-    plain = SlicingSession(source, kernel="csr")
-    plain.slice_many(
-        criteria, backend="process", max_workers=2, batch_saturation="off"
-    )
-    assert plain.stats["fused_process_batches"] == 0
-    assert plain.stats["fused_process_subbatch_sizes"] == ()
-
-
-@pytest.mark.smoke
-def test_warm_session_ships_nothing_to_the_pool():
-    session = SlicingSession(_source(6), kernel="csr")
-    criteria = _criteria(session)
-    session.slice_many(criteria, batch_saturation="on")
-    batches_before = session.stats["fused_process_batches"]
-    warm = session.slice_many(
-        criteria, backend="process", max_workers=2, batch_saturation="on"
-    )
-    assert len(warm) == len(criteria)
-    assert session.stats["fused_process_batches"] == batches_before
+    rendered = _rendered(fused.slice_many(criteria, max_workers=2))
+    reference = _rendered([plain.slice(criterion) for criterion in criteria])
+    assert rendered == reference, seed
+    assert _sat_bytes(plain_cache)
+    assert _sat_bytes(fused_cache) == _sat_bytes(plain_cache), seed
 
 
 # -- slice_many_programs error handling --------------------------------------------
 
 
 @pytest.mark.smoke
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_failing_job_names_itself_after_siblings_settle(backend, tmp_path):
+def test_failing_job_names_itself_after_siblings_settle(tmp_path):
     good = _source(7)
     bad = "int main() { this is not tinyc"
     cache = str(tmp_path / "cache")
@@ -343,7 +308,7 @@ def test_failing_job_names_itself_after_siblings_settle(backend, tmp_path):
         (_source(8), [("print", 0)]),
     ]
     with pytest.raises(ProgramSliceError) as info:
-        slice_many_programs(jobs, backend=backend, cache_dir=cache)
+        slice_many_programs(jobs, cache_dir=cache)
     error = info.value
     assert error.job_index == 1
     digest = hashlib.sha256(bad.encode("utf-8")).hexdigest()[:12]
@@ -363,7 +328,7 @@ def test_first_failing_job_wins_in_input_order():
         ("also broken(", [("print", 0)]),
     ]
     with pytest.raises(ProgramSliceError) as info:
-        slice_many_programs(jobs, backend="thread")
+        slice_many_programs(jobs)
     assert info.value.job_index == 0
 
 
@@ -372,7 +337,7 @@ def test_largest_first_scheduling_preserves_result_order(tmp_path):
     in input order, byte-identical to one-at-a-time runs."""
     sources = sorted((_source(seed) for seed in range(9, 13)), key=len)
     jobs = [(source, [("print", 0), "prints"]) for source in sources]
-    batch = slice_many_programs(jobs, backend="thread", kernel="csr")
+    batch = slice_many_programs(jobs, kernel="csr")
     for (source, criteria), results in zip(jobs, batch):
         solo = SlicingSession(source, kernel="csr")
         for criterion, result in zip(criteria, results):

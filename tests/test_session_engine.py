@@ -551,39 +551,59 @@ def test_feature_cone_saturation_survives_edit_pr3_dropped():
     assert after["saturation_hits"] >= stats["saturation_hits"] + 2
 
 
-def test_process_backend_ships_artifacts_to_workers():
-    """The worker initializer installs the parent's shipped artifacts:
-    a worker slicing a reachable-contexts criterion hits the installed
-    Poststar instead of re-saturating."""
-    from repro.engine import session as session_module
-    from repro.engine.session import _process_worker_init, _process_worker_slice
+def _program_uids(program):
+    from repro.lang.ast_nodes import walk_stmts
 
-    parent = SlicingSession(FIG1_SOURCE)
-    parent.slice()
-    artifacts = parent._export_artifacts(
-        [canonical_key(*resolve_criterion_spec(parent.sdg, "prints"), "reachable")]
+    return [stmt.uid for proc in program.procs for stmt in walk_stmts(proc.body)]
+
+
+def _origins(executable):
+    """The original-program uid behind each statement of a rendered
+    slice, in program order."""
+    return [executable.stmt_map.get(uid) for uid in _program_uids(executable.program)]
+
+
+def test_update_source_retargets_kept_stmt_maps():
+    """A label-only edit re-parses the text, so every statement of the
+    program gets a new uid.  Rendered slices the fast path keeps must
+    map into the *new* parse, exactly as a fresh render would."""
+    from repro.core.executable import executable_program
+    from repro.workloads.wc import scaled_wc_source
+
+    source = scaled_wc_source(4)
+    session = SlicingSession(source)
+    prints = len(session.sdg.print_call_vertices())
+    for index in range(prints):
+        session.executable(("print", index))
+    summary = session.update_source(
+        source.replace("chars = chars + 1", "chars = chars + 2")
     )
-    # The shared Poststar plus the batch criterion's Prestar.
-    assert {artifact.key[0] for artifact in artifacts} == {
-        "reachable-configs",
-        "prestar",
-    }
+    assert summary["fast_path"] is True
+    assert summary["results_kept"] >= 2
+    live = set(_program_uids(session.program))
+    kept = [
+        future.result()
+        for (cache_kind, _key), future in session._futures.items()
+        if cache_kind == "executable"
+    ]
+    assert len(kept) == summary["results_kept"]
+    for executable in kept:
+        assert executable.stmt_map
+        assert set(executable.stmt_map.values()) <= live
+        assert _origins(executable) == _origins(executable_program(executable.result))
 
-    saved = session_module._WORKER_SESSION
-    try:
-        _process_worker_init(FIG1_SOURCE, None, None, artifacts)
-        worker = session_module._WORKER_SESSION
-        kind, payload = resolve_criterion_spec(worker.sdg, "prints")
-        slim = _process_worker_slice(kind, payload, "reachable")
-        stats = worker.stats
-        assert stats["saturation_misses"] == 0
-        assert stats["saturation_hits"] == 2
-        assert slim.source_sdg is None  # shipped back slim
-        assert sorted(spec.name for spec in slim.pdgs.values()) == sorted(
-            spec.name for spec in parent.slice().pdgs.values()
-        )
-    finally:
-        session_module._WORKER_SESSION = saved
+    # The same holds for a kept feature removal's §7 cleanup pair.
+    session = SlicingSession(FEATURE_SRC)
+    session.remove_feature_cleaned("call do_junk")
+    summary = session.update_source(
+        FEATURE_SRC.replace("junk + c + 1", "junk + c + 2")
+    )
+    assert summary["fast_path"] is True
+    raw, cleaned = session.remove_feature_cleaned("call do_junk")
+    live = set(_program_uids(session.program))
+    for executable in (raw, cleaned):
+        assert executable.stmt_map
+        assert set(executable.stmt_map.values()) <= live
 
 
 # -- canonicalization unit checks -------------------------------------------------
